@@ -4,7 +4,9 @@
 //   * repeat traffic with the response cache enabled vs. disabled
 //     (identical requests re-served after nothing changed),
 //   * SUM update throughput through SumService::Apply / ApplyAll,
-//     including the serve-after-invalidation cost,
+//     including the serve-after-invalidation cost, and a single-user
+//     Apply sweep over 1k/10k/100k users (`--smoke` fails when 100k
+//     costs 2x or more of 1k),
 //   * KNN cold traffic (every request a cache miss): fit-time
 //     similarity index vs. lazy per-request recomputation, with an
 //     exact ranking-parity gate (a mismatch fails the run), and
@@ -41,6 +43,7 @@
 #include <vector>
 
 #include "bench_util.h"
+#include "common/check.h"
 #include "common/clock.h"
 #include "common/rng.h"
 #include "recsys/engine.h"
@@ -384,6 +387,78 @@ LiveUpdatePoint RunLiveUpdateScenario(size_t users, size_t k,
               point.interleaved_serve_rps, point.rows_refreshed,
               point.full_rebuilds, point.parity ? "OK" : "MISMATCH");
   return point;
+}
+
+/// Single-user `SumService::Apply` cost on an existing user at one
+/// population size.
+struct ApplyScalingPoint {
+  size_t users = 0;
+  /// ns/op over a fixed working set of users (the gated figure).
+  double apply_ns = 0.0;
+  /// ns/op with every op on the next user of a stride through the
+  /// whole population (reported, not gated).
+  double apply_uniform_ns = 0.0;
+  size_t trie_depth = 0;
+};
+
+/// Times single-user publishes at each population size. The gated
+/// figure cycles through the same 64 users (spread evenly over the id
+/// range) at every size: their models and paths stay cache-resident,
+/// so the ratio between sizes measures the work a publish does, which
+/// must not grow with the population. The uniform figure touches the
+/// whole population and so also pays the cache and TLB misses a larger
+/// heap brings, which grow even for a model clone alone. Windows of
+/// the sizes are interleaved (best of five each), so host noise hits
+/// every size alike.
+std::vector<ApplyScalingPoint> RunApplyScalingSweep(
+    const sum::AttributeCatalog& catalog) {
+  constexpr size_t kSizes[] = {1'000, 10'000, 100'000};
+  constexpr size_t kWorkingSet = 64;
+  constexpr size_t kOps = 20'000;
+  constexpr size_t kStride = 7'919;
+  const sum::AttributeId lively =
+      catalog.EmotionalId(eit::EmotionalAttribute::kLively);
+  std::vector<std::unique_ptr<sum::SumService>> services;
+  std::vector<ApplyScalingPoint> points;
+  for (const size_t users : kSizes) {
+    services.push_back(std::make_unique<sum::SumService>(&catalog));
+    std::vector<sum::SumUpdate> bootstrap;
+    bootstrap.reserve(users);
+    for (size_t u = 0; u < users; ++u) {
+      bootstrap.emplace_back(static_cast<sum::UserId>(u));
+    }
+    SPA_CHECK(services.back()->ApplyAll(bootstrap).ok());
+    points.push_back({users, 0.0, 0.0, 0});
+  }
+  const auto time_ops = [&](sum::SumService* sums, auto user_of) {
+    const auto start = Clock::now();
+    for (size_t i = 0; i < kOps; ++i) {
+      (void)sums->Apply(
+          sum::SumUpdate(static_cast<sum::UserId>(user_of(i)))
+              .Reward(lively, 0.05));
+    }
+    return SecondsSince(start) * 1e9 / static_cast<double>(kOps);
+  };
+  for (int window = 0; window < 5; ++window) {
+    for (size_t s = 0; s < points.size(); ++s) {
+      const size_t users = points[s].users;
+      const double set_ns = time_ops(services[s].get(), [&](size_t i) {
+        return (i % kWorkingSet) * (users / kWorkingSet);
+      });
+      const double uniform_ns = time_ops(services[s].get(), [&](size_t i) {
+        return (i * kStride) % users;
+      });
+      ApplyScalingPoint& point = points[s];
+      if (window == 0 || set_ns < point.apply_ns) point.apply_ns = set_ns;
+      if (window == 0 || uniform_ns < point.apply_uniform_ns) {
+        point.apply_uniform_ns = uniform_ns;
+      }
+    }
+  }
+  for (size_t s = 0; s < points.size(); ++s) {
+    points[s].trie_depth = services[s]->snapshot()->depth();
+  }
+  return points;
 }
 
 /// One open-loop streaming measurement point.
@@ -1135,13 +1210,30 @@ int Main(int argc, char** argv) {
   const double applyall_ups =
       static_cast<double>(batch_rounds * batch_size) / applyall_seconds;
   // How much cheaper a batched publish is per update than single-update
-  // publishes. Sharded COW snapshots keep this bounded: one Apply
-  // clones a single user shard (~users/S entries), not the world.
+  // publishes. Path-copying snapshots keep this bounded: one Apply
+  // copies a single root-to-leaf trie path, not the world.
   const double apply_vs_apply_all_ratio = applyall_ups / apply_ups;
   std::printf("ApplyAll (x%zu):   %8.0f updates/s  (%.3f s)  "
               "batch-vs-single ratio %.2fx\n",
               batch_size, applyall_ups, applyall_seconds,
               apply_vs_apply_all_ratio);
+
+  // Single-user publish cost must not grow with the population: the
+  // persistent user trie copies one root-to-leaf path per publish.
+  const std::vector<ApplyScalingPoint> apply_scaling =
+      RunApplyScalingSweep(catalog);
+  for (const ApplyScalingPoint& point : apply_scaling) {
+    std::printf("Apply @ %6zu users: %6.0f ns/op over 64 users, %6.0f "
+                "ns/op over all  (trie depth %zu)\n",
+                point.users, point.apply_ns, point.apply_uniform_ns,
+                point.trie_depth);
+  }
+  const double apply_scaling_1k_to_100k =
+      apply_scaling.back().apply_ns / apply_scaling.front().apply_ns;
+  const bool apply_scaling_ok = apply_scaling_1k_to_100k < 2.0;
+  std::printf("Apply scaling 1k->100k users: %.2fx  %s\n",
+              apply_scaling_1k_to_100k,
+              apply_scaling_ok ? "OK" : "GROWS WITH POPULATION");
 
   // Every user's context changed: the hot cache must now recompute.
   const auto invalidated_start = Clock::now();
@@ -1267,9 +1359,23 @@ int Main(int argc, char** argv) {
                  "    \"apply_all_batch_size\": %zu,\n"
                  "    \"apply_all_per_sec\": %.1f,\n"
                  "    \"apply_vs_apply_all_ratio\": %.3f,\n"
-                 "    \"post_update_serve_rps\": %.1f\n  },\n",
+                 "    \"post_update_serve_rps\": %.1f,\n",
                  apply_ups, batch_size, applyall_ups,
                  apply_vs_apply_all_ratio, invalidated_rps);
+    const auto by_users = [&](const char* key, auto figure) {
+      std::fprintf(json, "    \"%s\": {", key);
+      for (size_t i = 0; i < apply_scaling.size(); ++i) {
+        std::fprintf(json, "%s\"%zu\": %.1f", i == 0 ? "" : ", ",
+                     apply_scaling[i].users, figure(apply_scaling[i]));
+      }
+      std::fprintf(json, "},\n");
+    };
+    by_users("apply_ns_by_users",
+             [](const ApplyScalingPoint& p) { return p.apply_ns; });
+    by_users("apply_uniform_ns_by_users",
+             [](const ApplyScalingPoint& p) { return p.apply_uniform_ns; });
+    std::fprintf(json, "    \"apply_scaling_1k_to_100k\": %.3f\n  },\n",
+                 apply_scaling_1k_to_100k);
     std::fprintf(json, "  \"knn_index\": [\n");
     for (size_t i = 0; i < knn_points.size(); ++i) {
       const KnnIndexPoint& p = knn_points[i];
@@ -1420,6 +1526,9 @@ int Main(int argc, char** argv) {
   if (!router_result.parity) return 1;
   // The staged dataflow must reproduce the fused path byte-for-byte.
   if (!staged_parity) return 1;
+  // A single-user SUM publish must cost under 2x more at 100k users
+  // than at 1k (the smoke gate on publish scaling).
+  if (flags.smoke && !apply_scaling_ok) return 1;
   return cache_parity ? 0 : 1;
 }
 

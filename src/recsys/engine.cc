@@ -390,7 +390,7 @@ bool RecsysEngine::KeyMatches(const CacheKey& key,
 
 bool RecsysEngine::CacheLookupInto(uint64_t hash,
                                    const RecommendRequest& request,
-                                   uint64_t sum_user_version,
+                                   const sum::SumSnapshot* snapshot,
                                    RecommendResponse* out) const {
   std::lock_guard<std::mutex> lock(cache_mutex_);
   const auto it = cache_index_.find(hash);
@@ -398,15 +398,24 @@ bool RecsysEngine::CacheLookupInto(uint64_t hash,
     ++cache_stats_.misses;
     return false;
   }
-  const CacheEntry& entry = *it->second;
+  CacheEntry& entry = *it->second;
   if (!KeyMatches(entry.key, request)) {
     // Fingerprint collision between distinct requests: never serve it.
     ++cache_stats_.misses;
     return false;
   }
-  if (entry.fit_epoch != fit_epoch_ ||
-      entry.matrix_version != matrix_->version() ||
-      entry.sum_user_version != sum_user_version) {
+  bool stale = entry.fit_epoch != fit_epoch_ ||
+               entry.matrix_version != matrix_->version();
+  const uint64_t snapshot_id = snapshot != nullptr ? snapshot->id() : 0;
+  if (!stale && entry.sum_snapshot_id != snapshot_id) {
+    // The SUM head moved since this entry was last checked: compare
+    // the user's own version, and remember the head it still holds for.
+    const uint64_t user_version =
+        snapshot != nullptr ? snapshot->UserVersion(request.user) : 0;
+    stale = user_version != entry.sum_user_version;
+    if (!stale) entry.sum_snapshot_id = snapshot_id;
+  }
+  if (stale) {
     // An update landed for this user, the fitted matrix was mutated
     // outside ApplyInteractions, or the stack was refitted since the
     // entry was memoized: drop it in place. (The matrix guard reads
@@ -429,6 +438,7 @@ bool RecsysEngine::CacheLookupInto(uint64_t hash,
 
 void RecsysEngine::CacheInsert(uint64_t hash,
                                const RecommendRequest& request,
+                               const sum::SumSnapshot* snapshot,
                                uint64_t sum_user_version,
                                const RecommendResponse& response) const {
   std::lock_guard<std::mutex> lock(cache_mutex_);
@@ -469,6 +479,7 @@ void RecsysEngine::CacheInsert(uint64_t hash,
   entry.fit_epoch = fit_epoch_;
   entry.matrix_version = matrix_->version();
   entry.sum_user_version = sum_user_version;
+  entry.sum_snapshot_id = snapshot != nullptr ? snapshot->id() : 0;
   entry.response = response;
   cache_lru_.push_front(std::move(entry));
   cache_index_[hash] = cache_lru_.begin();
@@ -648,12 +659,6 @@ void RecsysEngine::AdmitRequest(const RecommendRequest& request,
                    : (sums_ != nullptr ? sums_->snapshot() : nullptr);
   }
 
-  if (snapshot != nullptr) {
-    // GetOrNull, not Get: cold users (no SUM yet) are common, and the
-    // NotFound status Get formats would be a per-request allocation.
-    ctx->model = snapshot->GetOrNull(request.user);
-    ctx->sum_user_version = snapshot->UserVersion(request.user);
-  }
   ctx->snapshot = std::move(snapshot);
 
   ctx->cacheable = config_.response_cache_capacity > 0 && !overridden;
@@ -668,9 +673,21 @@ void RecsysEngine::AdmitRequest(const RecommendRequest& request,
     ctx->fingerprint = FingerprintRequest(request);
     ItemTimer timer(profiler_, ProfilerItem::kStageCacheLookup);
     const bool hit = CacheLookupInto(ctx->fingerprint, request,
-                                     ctx->sum_user_version, hit_out);
+                                     ctx->snapshot.get(), hit_out);
     timer.Stop();
-    if (hit) ctx->done = true;
+    if (hit) {
+      ctx->done = true;
+      return;
+    }
+  }
+  if (ctx->snapshot != nullptr) {
+    // Lookup, not Get: cold users (no SUM yet) are common, and the
+    // NotFound status Get formats would be a per-request allocation.
+    // One trie walk yields both the model and its cache-key version.
+    const sum::SumSnapshot::UserView sum_user =
+        ctx->snapshot->Lookup(request.user);
+    ctx->model = sum_user.model;
+    ctx->sum_user_version = sum_user.version;
   }
 }
 
@@ -697,8 +714,8 @@ spa::Status RecsysEngine::RecommendIntoImpl(
   ServeRerank(request, ctx.model, &state);
   ServeExplain(request, &state);
   if (ctx.cacheable) {
-    CacheInsert(ctx.fingerprint, request, ctx.sum_user_version,
-                state.response);
+    CacheInsert(ctx.fingerprint, request, ctx.snapshot.get(),
+                ctx.sum_user_version, state.response);
   }
   *out = state.response;
   ReleaseScratch(std::move(scratch));
@@ -989,6 +1006,7 @@ RecsysEngine::RecommendBatchStaged(
     }
     if (contexts[i].cacheable) {
       CacheInsert(contexts[i].fingerprint, requests[i],
+                  contexts[i].snapshot.get(),
                   contexts[i].sum_user_version, states[i].response);
     }
     results[i] = std::move(states[i].response);

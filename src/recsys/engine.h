@@ -73,7 +73,9 @@
 ///  * **SUM user version** — `SumSnapshot::UserVersion(user)` at serve
 ///    time; a single `SumService::Apply` touching the user bumps it,
 ///    so exactly that user's entries stop matching while other users'
-///    entries keep hitting;
+///    entries keep hitting. Each entry remembers the snapshot
+///    (`SumSnapshot::id`) it was last checked against, so a hit under
+///    an unchanged SUM head skips the user lookup altogether;
 ///  * **request fingerprint** — user, k, exclude-seen policy, explain
 ///    flag, exclusion set and allowlist compared exactly (a 64-bit
 ///    hash indexes the entry; equality is verified on the canonical
@@ -432,6 +434,8 @@ class RecsysEngine {
     uint64_t fit_epoch = 0;
     uint64_t matrix_version = 0;
     uint64_t sum_user_version = 0;
+    /// `SumSnapshot::id` the user version was last checked against.
+    uint64_t sum_snapshot_id = 0;
     RecommendResponse response;
   };
 
@@ -452,9 +456,10 @@ class RecsysEngine {
   /// copy-assign — the warm-hit path allocates nothing) when a fresh
   /// entry matches; returns whether it did.
   bool CacheLookupInto(uint64_t hash, const RecommendRequest& request,
-                       uint64_t sum_user_version,
+                       const sum::SumSnapshot* snapshot,
                        RecommendResponse* out) const;
   void CacheInsert(uint64_t hash, const RecommendRequest& request,
+                   const sum::SumSnapshot* snapshot,
                    uint64_t sum_user_version,
                    const RecommendResponse& response) const;
 

@@ -3,10 +3,11 @@
 
 #include <atomic>
 #include <cstddef>
+#include <cstdint>
 #include <functional>
 #include <memory>
 #include <mutex>
-#include <unordered_map>
+#include <string>
 #include <vector>
 
 #include "common/status.h"
@@ -28,14 +29,18 @@
 ///  * every publish bumps a global monotonic version and stamps each
 ///    touched user with it (per-user versions), which is the
 ///    invalidation signal the engine's response cache keys on;
-///  * snapshots are copy-on-write at *user-shard* granularity: users
-///    hash onto a fixed power-of-two number of sub-maps
-///    (`SumServiceConfig::user_shards`), and a publish clones only the
-///    shards its batch touches — a single-user `Apply` copies one
-///    shard's map of `users/S` entries plus that user's model, not the
-///    world. Untouched shards (and the creation-order vector, when no
-///    new user appears) are shared with the previous snapshot by
-///    `shared_ptr`;
+///  * a snapshot is a persistent hash trie keyed by
+///    `SplitMix64(user)`: a dense root of `SumServiceConfig::user_shards`
+///    slots, then popcount-compressed 16-way nodes that hold users
+///    inline until two of them share a hash prefix. A publish copies
+///    only the root-to-leaf paths of the users it touches (each node
+///    at most once per publish, mutated in place after that) plus the
+///    touched users' models, so a single-user `Apply` costs
+///    O(depth) = O(log users), and every untouched node and model is
+///    shared with the previous snapshot by `shared_ptr`;
+///  * creation order lives in the entries themselves (each user keeps
+///    the index it was created at), so a publish that creates users
+///    copies no order vector either;
 ///  * readers holding a snapshot observe a frozen, consistent view no
 ///    matter how many updates land concurrently — update-while-serve
 ///    is safe by construction.
@@ -48,35 +53,61 @@ namespace spa::sum {
 /// for as long as the view must stay stable (typically one request).
 class SumSnapshot {
  public:
+  /// One user's model and per-user version, as resolved by `Lookup`.
+  struct UserView {
+    /// nullptr when the user has no model in this snapshot.
+    const SmartUserModel* model = nullptr;
+    /// Version of the publish that last touched the user (0 = absent).
+    uint64_t version = 0;
+  };
+
   /// Global version at publish time (0 = empty initial snapshot).
   uint64_t version() const { return version_; }
 
+  /// Process-unique identity of this published state (never reused,
+  /// across services too): equal ids mean equal models and versions,
+  /// so a reader that checked a user against one snapshot can skip the
+  /// lookup while the head stays the same.
+  uint64_t id() const { return id_; }
+
+  /// The user's model and version in one trie walk. Alloc-free — the
+  /// serve admission path resolves every request's user here, and
+  /// model-less (cold) users are the common case, so this must not pay
+  /// `Get`'s formatted NotFound status.
+  UserView Lookup(UserId user) const;
+
   /// Version of the publish that last touched `user` (0 when the user
   /// has no model in this snapshot).
-  uint64_t UserVersion(UserId user) const;
+  uint64_t UserVersion(UserId user) const { return Lookup(user).version; }
 
   /// The user's model; NotFound when absent.
   spa::Result<const SmartUserModel*> Get(UserId user) const;
 
-  /// The user's model, or nullptr when absent. Alloc-free — the serve
-  /// admission path probes every request's user here, and model-less
-  /// (cold) users are the common case, so this must not pay `Get`'s
-  /// formatted NotFound status.
-  const SmartUserModel* GetOrNull(UserId user) const;
+  /// The user's model, or nullptr when absent (alloc-free).
+  const SmartUserModel* GetOrNull(UserId user) const {
+    return Lookup(user).model;
+  }
 
-  bool Contains(UserId user) const;
-  size_t size() const { return order_->size(); }
+  bool Contains(UserId user) const { return GetOrNull(user) != nullptr; }
+  size_t size() const { return size_; }
 
   /// Users in creation order.
-  const std::vector<UserId>& users() const { return *order_; }
+  std::vector<UserId> users() const;
 
+  /// Visits every model in creation order.
   void ForEach(
       const std::function<void(const SmartUserModel&)>& fn) const;
 
   const AttributeCatalog& catalog() const { return *catalog_; }
 
-  /// Number of copy-on-write user shards (a power of two).
-  size_t shard_count() const { return shards_.size(); }
+  /// Fan-out of the trie's root (`SumServiceConfig::user_shards`
+  /// rounded up to a power of two).
+  size_t shard_count() const { return roots_.size(); }
+
+  /// Levels of trie nodes below the root on the deepest path (0 when
+  /// empty). A user lookup or a single-user publish walks at most
+  /// this many nodes.
+  size_t depth() const;
 
   /// Serializes the snapshot in the SumStore CSV schema.
   std::string ToCsv() const;
@@ -85,27 +116,50 @@ class SumSnapshot {
   friend class SumService;
 
   struct Entry {
-    std::shared_ptr<const SmartUserModel> model;
+    UserId user = 0;
+    /// Publish that last touched the user.
     uint64_t version = 0;
+    /// Creation index: the user's position in `users()`.
+    uint64_t seq = 0;
+    std::shared_ptr<SmartUserModel> model;
   };
 
-  /// One copy-on-write sub-map. Immutable once published; a publish
-  /// that touches a user clones that user's shard and shares the rest.
-  struct Shard {
-    std::unordered_map<UserId, Entry> models;
+  /// One trie node. Its slots are selected by `kLevelBits` hash bits
+  /// (sum_service.cc); a set bit in `entry_map` holds a user inline, a
+  /// set bit in `child_map` a sub-node, and both arrays are compressed
+  /// to their set bits (index = popcount of the lower bits).
+  struct Node {
+    /// Version of the publish that made this copy. Only that publish
+    /// may mutate it; it is immutable once published.
+    uint64_t edit = 0;
+    uint32_t entry_map = 0;
+    uint32_t child_map = 0;
+    std::vector<Entry> entries;
+    std::vector<std::shared_ptr<Node>> children;
   };
+  using NodePtr = std::shared_ptr<Node>;
 
   SumSnapshot(const AttributeCatalog* catalog, size_t shard_count);
 
-  size_t ShardIndexOf(UserId user) const;
   const Entry* FindEntry(UserId user) const;
+  /// Entries by creation index (`size()` of them).
+  std::vector<const Entry*> EntriesInOrder() const;
+
+  /// Write path, only on an unpublished snapshot whose `version_` is
+  /// the publish in progress: the user's model, made private to this
+  /// publish (cloned on its first touch, created when absent), with
+  /// every node on the user's path copied at most once.
+  SmartUserModel* MutableModel(UserId user);
+  /// The node `*slot` points at, made private to the publish in
+  /// progress (created when absent, copied when published).
+  Node* Writable(NodePtr* slot) const;
 
   const AttributeCatalog* catalog_;
-  std::vector<std::shared_ptr<const Shard>> shards_;
-  /// Shared across publishes; copied only when a batch creates users.
-  std::shared_ptr<const std::vector<UserId>> order_;
+  std::vector<NodePtr> roots_;
+  unsigned root_bits_ = 0;
   uint64_t version_ = 0;
-  uint64_t shard_mask_ = 0;
+  uint64_t id_ = 0;
+  size_t size_ = 0;
 };
 
 /// Shared handle to a pinned snapshot.
@@ -114,10 +168,9 @@ using SumSnapshotPtr = std::shared_ptr<const SumSnapshot>;
 struct SumServiceConfig {
   /// Parameters of the kReward / kPunish / kDecay ops.
   ReinforcementConfig reinforcement;
-  /// Copy-on-write user shards per snapshot; rounded up to a power of
-  /// two (minimum 1). More shards make single-user publishes cheaper
-  /// (one shard copy of ~users/S entries) at the cost of a slightly
-  /// larger per-publish fixed overhead (the shard-pointer vector).
+  /// Root fan-out of each snapshot's user trie; rounded up to a power
+  /// of two (minimum 1). Every publish copies the root's pointers, and
+  /// a larger root makes the trie below it shallower.
   size_t user_shards = 32;
 };
 
@@ -148,18 +201,18 @@ class SumService {
 
   /// Applies one update atomically and publishes a new snapshot.
   /// Creates the user's model when absent (even with no ops). Errors:
-  /// InvalidArgument (op references an attribute outside the catalog);
-  /// on error nothing is published.
+  /// InvalidArgument (op references an attribute outside the catalog,
+  /// or carries a NaN/infinite amount); on error nothing is published.
   spa::Status Apply(const SumUpdate& update);
 
   /// Applies a batch atomically under a single version bump (one
-  /// publish; clones only the touched shards — the cheap path for bulk
-  /// maintenance). All-or-nothing: any invalid update rejects the
-  /// whole batch. `published_version` (optional) receives the version
-  /// this call published — read it from here, not from `version()`
-  /// afterwards: with concurrent writers another publish may land in
-  /// between, and callers that pin versions (the streaming writer
-  /// lane) need the version of *their* publish. An empty batch
+  /// publish; copies only the touched users' trie paths — the cheap
+  /// path for bulk maintenance). All-or-nothing: any invalid update
+  /// rejects the whole batch. `published_version` (optional) receives
+  /// the version this call published — read it from here, not from
+  /// `version()` afterwards: with concurrent writers another publish
+  /// may land in between, and callers that pin versions (the streaming
+  /// writer lane) need the version of *their* publish. An empty batch
   /// publishes nothing and reports the current head version.
   spa::Status ApplyAll(const std::vector<SumUpdate>& updates,
                        uint64_t* published_version = nullptr);

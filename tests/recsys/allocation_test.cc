@@ -1,15 +1,18 @@
-// Allocation-count regression for the serve hot path: the warm cached
-// `RecommendInto` path must perform ZERO heap allocations. This TU
-// replaces the global operator new/delete with counting versions
-// (binary-wide — the replacements just delegate to malloc/free, so
-// every other test is unaffected) and asserts that a window of warm
-// cache-hit calls never enters the allocator.
+// Allocation-count regressions. The warm cached `RecommendInto` path
+// must perform ZERO heap allocations, and a single-user SUM publish
+// must allocate a number of blocks bounded by the user trie's depth,
+// not by the population. This TU replaces the global operator
+// new/delete with counting versions (binary-wide — the replacements
+// just delegate to malloc/free, so every other test is unaffected)
+// and counts the allocator entries inside measurement windows.
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <cstdlib>
 #include <memory>
 #include <new>
+#include <vector>
 
 #include "gtest/gtest.h"
 #include "recsys/engine.h"
@@ -18,6 +21,7 @@
 #include "recsys/recsys_test_util.h"
 #include "recsys/request.h"
 #include "sum/sum_service.h"
+#include "sum/sum_update.h"
 
 namespace {
 
@@ -207,3 +211,66 @@ TEST_F(AllocationRegressionTest, RecomputePathStillProducesResults) {
 
 }  // namespace
 }  // namespace spa::recsys
+
+namespace spa::sum {
+namespace {
+
+/// A service holding users 0..users-1, each created by one batch.
+std::unique_ptr<SumService> MakePopulation(const AttributeCatalog* catalog,
+                                           UserId users) {
+  auto service = std::make_unique<SumService>(catalog);
+  std::vector<SumUpdate> bootstrap;
+  bootstrap.reserve(static_cast<size_t>(users));
+  for (UserId user = 0; user < users; ++user) bootstrap.emplace_back(user);
+  EXPECT_TRUE(service->ApplyAll(bootstrap).ok());
+  return service;
+}
+
+/// Most operator-new entries any of 64 single-user `Apply` calls on
+/// existing users (spread over the population) made.
+uint64_t WorstSingleUserApplyAllocs(SumService* service, UserId users,
+                                    AttributeId attr) {
+  uint64_t worst = 0;
+  bool all_ok = true;
+  for (UserId user = 0; user < users; user += users / 64) {
+    const SumUpdate update = SumUpdate(user).Reward(attr, 0.1);
+    g_new_calls.store(0, std::memory_order_relaxed);
+    g_counting.store(true, std::memory_order_release);
+    all_ok = service->Apply(update).ok() && all_ok;
+    g_counting.store(false, std::memory_order_release);
+    worst = std::max(worst, g_new_calls.load(std::memory_order_relaxed));
+  }
+  EXPECT_TRUE(all_ok);
+  return worst;
+}
+
+// A publish copies the touched user's root-to-leaf path (a node and
+// its two compressed arrays per level) and model, so 100x the users
+// may cost at most the extra trie levels, never a population-sized
+// copy.
+TEST(SumPublishAllocationTest, SingleUserApplyIsBoundedByTrieDepth) {
+  const AttributeCatalog catalog = AttributeCatalog::EmagisterDefault();
+  const AttributeId attr =
+      catalog.EmotionalId(eit::EmotionalAttribute::kLively);
+  constexpr uint64_t kBlocksPerLevel = 3;
+
+  auto small = MakePopulation(&catalog, 1'000);
+  const uint64_t small_allocs =
+      WorstSingleUserApplyAllocs(small.get(), 1'000, attr);
+  small.reset();
+  auto large = MakePopulation(&catalog, 100'000);
+  const uint64_t large_allocs =
+      WorstSingleUserApplyAllocs(large.get(), 100'000, attr);
+  const size_t large_depth = large->snapshot()->depth();
+
+  EXPECT_GT(small_allocs, 0u);  // the counter observes the window
+  // About log16(100k / 32) = 3 levels on an average path; the deepest
+  // of 100k hash paths runs a few levels further.
+  EXPECT_LE(large_depth, 10u);
+  EXPECT_LE(large_allocs, small_allocs + kBlocksPerLevel * large_depth)
+      << "1k users: " << small_allocs << " blocks, 100k users: "
+      << large_allocs << " blocks (trie depth " << large_depth << ")";
+}
+
+}  // namespace
+}  // namespace spa::sum

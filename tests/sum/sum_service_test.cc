@@ -1,4 +1,6 @@
 #include <atomic>
+#include <limits>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -123,6 +125,42 @@ TEST_F(SumServiceTest, ApplyAllIsAtomicOnInvalidBatch) {
   EXPECT_FALSE(service_.ApplyAll(batch).ok());
   EXPECT_EQ(service_.version(), 0u);
   EXPECT_FALSE(service_.snapshot()->Contains(1));
+}
+
+TEST_F(SumServiceTest, RejectsNonFiniteAmounts) {
+  const AttributeId attr = Emo(eit::EmotionalAttribute::kHopeful);
+  ASSERT_TRUE(service_.Apply(SumUpdate(1).SetSensibility(attr, 0.4)).ok());
+  const std::string csv = service_.ToCsv();
+  const double bad_amounts[] = {std::numeric_limits<double>::quiet_NaN(),
+                                std::numeric_limits<double>::infinity(),
+                                -std::numeric_limits<double>::infinity()};
+  for (const double bad : bad_amounts) {
+    const SumUpdate updates[] = {
+        SumUpdate(1).SetValue(attr, bad),
+        SumUpdate(1).SetSensibility(attr, bad),
+        SumUpdate(1).AddEvidence(attr, bad),
+        SumUpdate(1).Reward(attr, bad),
+        SumUpdate(1).Punish(attr, bad),
+        // A new user in a batch with a bad op is not created either.
+        SumUpdate(2).SetSensibility(attr, 0.5).Reward(attr, bad),
+    };
+    for (const SumUpdate& update : updates) {
+      EXPECT_EQ(service_.Apply(update).code(),
+                StatusCode::kInvalidArgument)
+          << "amount " << bad;
+      EXPECT_EQ(service_.ApplyAll({SumUpdate(3), update}).code(),
+                StatusCode::kInvalidArgument);
+    }
+  }
+  // Nothing was published: same version, users and bytes.
+  EXPECT_EQ(service_.version(), 1u);
+  EXPECT_EQ(service_.size(), 1u);
+  EXPECT_EQ(service_.UserVersion(1), 1u);
+  EXPECT_EQ(service_.ToCsv(), csv);
+  // Ops that ignore the amount still apply.
+  SumUpdate decay(1);
+  decay.ValueFromSensibility(attr).Decay(AttributeKind::kEmotional);
+  EXPECT_TRUE(service_.Apply(decay).ok());
 }
 
 TEST_F(SumServiceTest, SnapshotsAreImmutableViews) {
